@@ -971,9 +971,16 @@ func mergeDiff(cur, gained, cleared []detect.Violation, sigma map[any]int) []det
 // Submit enqueues one mutation batch and waits for the commit that
 // applies it. The queue is bounded; when it is full Submit blocks
 // (backpressure) until space frees, the context expires, or the
-// service stops. A Result with a non-nil Err means the commit hit a
-// failing op: the failing op's suffix was skipped but the service
-// resynchronized and remains consistent.
+// service stops. An *OpError means the whole request was refused:
+// nothing of it was applied, and the Result carries the unchanged tip
+// seq.
+//
+// Requests are validated and applied in queue order, and insert TIDs
+// are assigned at commit. A request may therefore name only tuples
+// present at the tip or inserted by requests queued ahead of it.
+// Concurrent submitters get no order among themselves: a request that
+// names a TID another in-flight request inserts may be refused, or may
+// reach a different tuple.
 func (s *Service) Submit(ctx context.Context, ops []detect.DBOp) (Result, error) {
 	if err := s.healthErr(); err != nil {
 		// Degraded: fail fast instead of queueing work the loop will

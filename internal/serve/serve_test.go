@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -181,6 +182,33 @@ func applyShadow(db *relation.Database, ops []detect.DBOp) error {
 		}
 	}
 	return nil
+}
+
+// commutingBatches draws n batches of 1..maxOps random ops, every one
+// against the unmutated base. One claimed map spans all batches and
+// marks both delete and update targets, so no two ops touch the same
+// tuple and no op names a TID that another batch inserts. The batches
+// therefore commute up to the TIDs their inserts receive: submitted
+// concurrently, any queue order is a valid one.
+func commutingBatches(r *rand.Rand, base *relation.Database, n, maxOps int) [][]detect.DBOp {
+	fresh := 0
+	claimed := make(map[string]map[relation.TID]bool)
+	batches := make([][]detect.DBOp, n)
+	for i := range batches {
+		batch := make([]detect.DBOp, 1+r.Intn(maxOps))
+		for j := range batch {
+			op := randomServeOp(r, base, &fresh, claimed) // marks deletes
+			if op.Op.Kind == detect.OpUpdate {
+				if claimed[op.Rel] == nil {
+					claimed[op.Rel] = make(map[relation.TID]bool)
+				}
+				claimed[op.Rel][op.Op.TID] = true
+			}
+			batch[j] = op
+		}
+		batches[i] = batch
+	}
+	return batches
 }
 
 func mustNew(t *testing.T, cfg Config) *Service {
@@ -457,26 +485,13 @@ func TestConcurrentReadersRace(t *testing.T) {
 func TestStopDrainsQueue(t *testing.T) {
 	cs := serveSigma()
 	db := ordersDB(19, 200)
-	shadow := db.Clone()
+	// Drawn before the service mutates db; commuting, so the order the
+	// concurrent submits below reach the queue in cannot invalidate one.
+	batches := commutingBatches(rand.New(rand.NewSource(53)), db, 20, 4)
 	// QueueCap large enough to hold every async batch below.
 	svc, err := New(Config{DB: db, Constraints: cs, QueueCap: 64})
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	r := rand.New(rand.NewSource(53))
-	fresh := 0
-	var batches [][]detect.DBOp
-	for i := 0; i < 20; i++ {
-		batch := make([]detect.DBOp, 1+r.Intn(4))
-		dead := make(map[string]map[relation.TID]bool)
-		for j := range batch {
-			batch[j] = randomServeOp(r, shadow, &fresh, dead)
-		}
-		batches = append(batches, batch)
-		if err := applyShadow(shadow, batch); err != nil {
-			t.Fatal(err)
-		}
 	}
 
 	// Fire all submits concurrently, then stop while they are in flight.
@@ -524,36 +539,43 @@ func TestStopDrainsQueue(t *testing.T) {
 }
 
 // TestCoalescing: concurrent Submits can share one commit; every ack
-// carries that commit's seq and the published state is consistent.
+// carries that commit's seq and the published state is consistent. It
+// is a model check, not a check against an assumed order: the batches
+// commute (commutingBatches), so every arrival order is valid, and
+// replaying each seq's acked batches on a shadow, in the order the
+// service applied them, must reproduce that commit's published
+// violations byte for byte. One request that no tip can accept rides
+// along and must reject only itself.
 func TestCoalescing(t *testing.T) {
 	cs := serveSigma()
 	db := ordersDB(29, 200)
-	shadow := db.Clone()
-	svc := mustNew(t, Config{DB: db, Constraints: cs, QueueCap: 64})
-
-	r := rand.New(rand.NewSource(71))
-	fresh := 0
-	var batches [][]detect.DBOp
-	for i := 0; i < 30; i++ {
-		batch := make([]detect.DBOp, 1+r.Intn(3))
-		dead := make(map[string]map[relation.TID]bool)
-		for j := range batch {
-			batch[j] = randomServeOp(r, shadow, &fresh, dead)
-		}
-		batches = append(batches, batch)
-		if err := applyShadow(shadow, batch); err != nil {
-			t.Fatal(err)
-		}
+	base := db.Clone()
+	svc := mustNew(t, Config{DB: db, Constraints: cs, QueueCap: 64, SubBuf: 64})
+	sub := svc.Subscribe()
+	defer sub.Close()
+	held := make(map[detect.Violation]struct{})
+	for _, v := range svc.State().Violations {
+		held[v] = struct{}{}
 	}
+
+	batches := commutingBatches(rand.New(rand.NewSource(71)), base, 30, 3)
+	invalid := []detect.DBOp{detect.UpdateIn("order", relation.TID(1_000_000), 1, relation.Str("nope"))}
+	var invalidErr error
+	res := make([]Result, len(batches))
+	errs := make([]error, len(batches))
 	var wg sync.WaitGroup
-	for _, batch := range batches {
+	submit := func(ops []detect.DBOp, res *Result, err *error) {
 		wg.Add(1)
-		go func(ops []detect.DBOp) {
+		go func() {
 			defer wg.Done()
-			if _, err := svc.Submit(context.Background(), ops); err != nil {
-				t.Errorf("Submit: %v", err)
-			}
-		}(batch)
+			*res, *err = svc.Submit(context.Background(), ops)
+		}()
+	}
+	for i, batch := range batches {
+		if i == len(batches)/2 {
+			submit(invalid, new(Result), &invalidErr)
+		}
+		submit(batch, &res[i], &errs[i])
 	}
 	wg.Wait()
 
@@ -568,6 +590,166 @@ func TestCoalescing(t *testing.T) {
 	if st.Ops == 0 {
 		t.Fatal("no ops recorded")
 	}
+
+	var oe *OpError
+	if !errors.As(invalidErr, &oe) || oe.Index != 0 {
+		t.Fatalf("never-valid request: err = %v, want *OpError at index 0", invalidErr)
+	}
+	// Ack accounting: the valid acks cover exactly 1..st.Seq.
+	bySeq := make(map[uint64][]int)
+	ops := 0
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+		if res[i].Seq < 1 || res[i].Seq > st.Seq {
+			t.Fatalf("batch %d acked at seq %d outside 1..%d", i, res[i].Seq, st.Seq)
+		}
+		bySeq[res[i].Seq] = append(bySeq[res[i].Seq], i)
+		ops += len(batches[i])
+	}
+	for seq := uint64(1); seq <= st.Seq; seq++ {
+		if len(bySeq[seq]) == 0 {
+			t.Fatalf("no ack carries seq %d of %d", seq, st.Seq)
+		}
+	}
+	if st.Ops != uint64(ops) {
+		t.Fatalf("state counts %d ops, the acked batches hold %d", st.Ops, ops)
+	}
+
+	// The TIDs the service gave each batch's inserts, found by their
+	// unique fresh first-column keys (the writer is idle: every request
+	// has been acked).
+	type relKey struct {
+		rel string
+		key relation.Value
+	}
+	tidOf := make(map[relKey]relation.TID)
+	for _, rel := range db.Names() {
+		in := db.MustInstance(rel)
+		for _, id := range in.IDs() {
+			if id >= base.MustInstance(rel).NextTID() {
+				tu, _ := in.Tuple(id)
+				tidOf[relKey{rel, tu[0]}] = id
+			}
+		}
+	}
+	firstIns := make([]map[string]relation.TID, len(batches))
+	for i, batch := range batches {
+		firstIns[i] = make(map[string]relation.TID)
+		for j, op := range batch {
+			if op.Op.Kind != detect.OpInsert {
+				continue
+			}
+			id, ok := tidOf[relKey{op.Rel, op.Op.Tuple[0]}]
+			if !ok {
+				t.Fatalf("batch %d op %d: acked insert %v not in the service's %s", i, j, op.Op.Tuple, op.Rel)
+			}
+			if _, seen := firstIns[i][op.Rel]; !seen {
+				firstIns[i][op.Rel] = id
+			}
+		}
+	}
+
+	// Per-commit replay: fold each delta into the held set and require
+	// it to equal a fresh detection of the shadow after that seq's
+	// batches.
+	shadow := base.Clone()
+	oracle := detect.New(2)
+	for seq := uint64(1); seq <= st.Seq; seq++ {
+		var d Delta
+		select {
+		case delta, ok := <-sub.Events():
+			if !ok {
+				t.Fatalf("stream closed before seq %d (lost=%v)", seq, sub.Lost())
+			}
+			d = delta
+		case <-time.After(5 * time.Second):
+			t.Fatalf("timed out waiting for the delta of seq %d", seq)
+		}
+		if d.Seq != seq {
+			t.Fatalf("delta has seq %d, want %d", d.Seq, seq)
+		}
+		for _, v := range d.Cleared {
+			delete(held, v)
+		}
+		for _, v := range d.Gained {
+			held[v] = struct{}{}
+		}
+
+		for _, i := range insertOrder(t, bySeq[seq], firstIns) {
+			if err := applyShadow(shadow, batches[i]); err != nil {
+				t.Fatalf("seq %d batch %d: %v", seq, i, err)
+			}
+			for _, op := range batches[i] {
+				if op.Op.Kind != detect.OpInsert {
+					continue
+				}
+				id := tidOf[relKey{op.Rel, op.Op.Tuple[0]}]
+				if tu, ok := shadow.MustInstance(op.Rel).Tuple(id); !ok || tu[0] != op.Op.Tuple[0] {
+					t.Fatalf("seq %d batch %d: shadow replay did not insert %v at TID %d, where the service did", seq, i, op.Op.Tuple, id)
+				}
+			}
+		}
+
+		got := make([]detect.Violation, 0, len(held))
+		for v := range held {
+			got = append(got, v)
+		}
+		detect.SortViolations(got, svc.Sigma())
+		if gotText, wantText := ViolationsText(got), ViolationsText(oracle.DetectBatch(shadow, cs)); gotText != wantText {
+			t.Fatalf("seq %d (%d batches): replayed deltas diverge from fresh detection of the shadow:\n%s\nvs\n%s",
+				seq, len(bySeq[seq]), gotText, wantText)
+		}
+	}
+	if ViolationsText(svc.Violations()) != ViolationsText(oracle.DetectBatch(shadow, cs)) {
+		t.Fatal("final published violations diverge from the seq-ordered shadow replay")
+	}
+}
+
+// insertOrder orders one commit's batches so that a replay gives every
+// insert the TID the service gave it: per relation, the batches that
+// insert into it go in ascending order of their first such TID. TIDs of
+// different relations are not comparable, so this is only a partial
+// order; any topological order of it will do, because batches that
+// share no inserted relation commute.
+func insertOrder(t *testing.T, batches []int, firstIns []map[string]relation.TID) []int {
+	t.Helper()
+	byRel := make(map[string][]int)
+	for _, i := range batches {
+		for rel := range firstIns[i] {
+			byRel[rel] = append(byRel[rel], i)
+		}
+	}
+	next := make(map[int][]int)
+	indeg := make(map[int]int)
+	for rel, is := range byRel {
+		sort.Slice(is, func(a, b int) bool { return firstIns[is[a]][rel] < firstIns[is[b]][rel] })
+		for k := 1; k < len(is); k++ {
+			next[is[k-1]] = append(next[is[k-1]], is[k])
+			indeg[is[k]]++
+		}
+	}
+	var order, ready []int
+	for _, i := range batches {
+		if indeg[i] == 0 {
+			ready = append(ready, i)
+		}
+	}
+	for len(ready) > 0 {
+		i := ready[0]
+		ready = ready[1:]
+		order = append(order, i)
+		for _, j := range next[i] {
+			if indeg[j]--; indeg[j] == 0 {
+				ready = append(ready, j)
+			}
+		}
+	}
+	if len(order) != len(batches) {
+		t.Fatalf("insert TIDs of batches %v fit no single queue order", batches)
+	}
+	return order
 }
 
 // TestSubmitOpError: a request with an invalid op is rejected upfront
